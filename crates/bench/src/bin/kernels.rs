@@ -1,7 +1,10 @@
 //! Kernel microbenchmark: Gflop/s sweep over the `calu-kernels`
-//! building blocks — square and rectangular GEMM, blocked TRSM, and
-//! recursive panel GETRF — emitting the same flat-JSON metric format as
-//! `perf_smoke` (timings as `*_secs`, rates and ratios as plain counts).
+//! building blocks — square and rectangular GEMM, the b×b×b tile-task
+//! GEMMs the factorization DAGs issue (b ∈ {16, 32, 100}), blocked TRSM,
+//! and recursive panel GETRF — emitting the same flat-JSON metric format
+//! as `perf_smoke` (timings as `*_secs`, rates and ratios as plain
+//! counts). The first line names the micro-kernel path this host
+//! selected ([`calu::kernels::microkernel::KernelPath::detect`]).
 //!
 //! ```text
 //! kernels [--out PATH]   # metrics file (default KERNELS_pr.json)
@@ -15,6 +18,7 @@
 //! metric (the same fixed naive-matmul workload `perf_smoke` uses) makes
 //! the `_secs` values comparable across hosts.
 
+use calu::kernels::microkernel::KernelPath;
 use calu::kernels::{
     dgemm_jki, dgemm_packed, dgetrf_recursive_packed, dtrsm_left_lower_unit_packed,
     dtrsm_right_upper_packed, flops, GemmScratch,
@@ -116,6 +120,24 @@ fn main() {
 
     let mut metrics: Vec<(String, f64)> = vec![(CALIBRATION_KEY.to_string(), calibration_secs())];
     let mut scratch = GemmScratch::new();
+
+    println!("micro-kernel path: {}", KernelPath::detect().name());
+
+    println!("gemm (packed vs seed jki), tile tasks b x b x b:");
+    for b in [16, 32, 100] {
+        // tiny tiles time in microseconds: more draws for a stable minimum
+        let (packed, jki) = time_gemm(b, b, b, 200, &mut scratch);
+        let fl = flops::gemm(b, b, b);
+        println!(
+            "  b={b:<4} packed {} ({:.2} Gflop/s), {:.2}x vs jki",
+            fmt_secs(packed),
+            fl / packed / 1e9,
+            jki / packed
+        );
+        metrics.push((format!("gemm_tile{b}_secs"), packed));
+        metrics.push((format!("gemm_tile{b}_gflops"), fl / packed / 1e9));
+        metrics.push((format!("gemm_tile{b}_speedup_vs_jki"), jki / packed));
+    }
 
     println!("gemm (packed vs seed jki), square:");
     let squares: &[usize] = if quick {

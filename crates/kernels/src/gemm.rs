@@ -7,42 +7,62 @@
 //! ([`crate::pack`]) and multiplied by an `MR × NR` register-tiled
 //! micro-kernel ([`crate::microkernel`]), with the caller's `β` folded
 //! into the first `KC` block of the `k` loop instead of a separate
-//! scaling pass over `C`.
+//! scaling pass over `C`. The `A·Bᵀ` product shares the driver; only
+//! its B packing differs.
 //!
 //! ## Blocking parameters
 //!
+//! The register tile depends on the micro-kernel path, picked once per
+//! GEMM call from the detected CPU features
+//! ([`crate::microkernel::KernelPath::detect`]); the driver and the
+//! packing routines are instantiated once per tile shape.
+//!
 //! | Constant | Value | Role |
 //! |----------|-------|------|
-//! | [`MR`]   | 8     | rows of the register tile: one packed-A panel feeds `MR` accumulator rows |
-//! | [`NR`]   | 4     | columns of the register tile: one packed-B panel feeds `NR` accumulator columns |
+//! | [`MR_AVX512`] × [`NR_AVX512`] | 16 × 8 | AVX-512F tile: 16 zmm accumulators (8 f64 each) of the 32 zmm registers, plus 2 for the A sliver and 1 broadcast B value |
+//! | [`MR`] × [`NR`] | 8 × 4 | AVX2 + FMA and portable tile: 8 ymm accumulators (4 f64 each) of the 16 ymm registers, plus 2 for the A sliver and 1 broadcast |
 //! | [`MC`]   | 128   | rows of the packed A block (`MC × KC` ≈ 256 KiB, sized for L2) |
-//! | [`KC`]   | 256   | depth of one pack-and-multiply pass (`KC × NR` B panel ≈ 8 KiB, hot in L1) |
+//! | [`KC`]   | 256   | depth of one pack-and-multiply pass (`KC × NR` B panel: 8 KiB at NR = 4, 16 KiB at NR = 8, hot in L1) |
 //! | [`NC`]   | 2048  | columns of the packed B block (`KC × NC` ≈ 4 MiB, sized for L3) |
 //!
-//! The simulator's kernel-efficiency table
-//! (`calu_sim::cost::kernel_eff`) is calibrated against these kernels;
-//! re-tune it if the constants change materially.
+//! The simulator's kernel-efficiency table (`calu_sim::cost::kernel_eff`)
+//! was calibrated against the 8×4 kernel and is deliberately left as it
+//! is, so the simulator's reproduced figures keep their meaning; the
+//! AVX-512 path makes the real backend faster than that model on hosts
+//! that have it.
 //!
 //! The seed `j-k-i` AXPY kernel is kept as [`dgemm_jki`] — the parity
 //! oracle for tests and the speedup baseline for the `kernels` bench.
 
-use crate::microkernel::{micro_tile, store_tile};
+#[cfg(target_arch = "x86_64")]
+use crate::microkernel::{avx2fma_8x4, avx512_16x8};
+use crate::microkernel::{portable_tile, store_tile, KernelPath, TileFn};
 use crate::pack::{pack_a, pack_b, pack_b_trans, with_thread_scratch, GemmScratch};
 use crate::small::daxpy;
 
-/// Rows of the register tile (micro-kernel height).
+/// Rows of the 8×4 register tile (AVX2 + FMA and portable paths).
 pub const MR: usize = 8;
-/// Columns of the register tile (micro-kernel width).
+/// Columns of the 8×4 register tile (AVX2 + FMA and portable paths).
 pub const NR: usize = 4;
-/// Rows of one packed `A` cache block; a multiple of [`MR`].
+/// Rows of the AVX-512F register tile.
+pub const MR_AVX512: usize = 16;
+/// Columns of the AVX-512F register tile.
+pub const NR_AVX512: usize = 8;
+/// Rows of one packed `A` cache block; a multiple of every tile's `MR`.
 pub const MC: usize = 128;
 /// Depth of one packed block pair (the `k`-blocking).
 pub const KC: usize = 256;
-/// Columns of one packed `B` cache block; a multiple of [`NR`].
+/// Columns of one packed `B` cache block; a multiple of every tile's `NR`.
 pub const NC: usize = 2048;
 
-const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
-const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
+const _: () = assert!(
+    MC.is_multiple_of(MR_AVX512) && MR_AVX512.is_multiple_of(MR),
+    "MC must be a multiple of MR_AVX512, and MR_AVX512 of MR"
+);
+const _: () = assert!(
+    NC.is_multiple_of(NR_AVX512) && NR_AVX512.is_multiple_of(NR),
+    "NC must be a multiple of NR_AVX512, and NR_AVX512 of NR"
+);
 
 /// `C ← α·A·B + β·C` with `A: m×k`, `B: k×n`, `C: m×n`, all column-major
 /// with leading dimensions `lda/ldb/ldc` (slices start at each block's
@@ -81,20 +101,22 @@ pub fn dgemm_packed(
     // SAFETY: dimensions checked against the slice lengths above; the
     // borrow rules guarantee c is exclusive and disjoint from a and b.
     unsafe {
-        dgemm_core(
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        Gemm {
             m,
             n,
             k,
             alpha,
-            a.as_ptr(),
+            a,
             lda,
-            b.as_ptr(),
+            b,
             ldb,
+            trans_b: false,
             beta,
-            c.as_mut_ptr(),
+            c,
             ldc,
-            scratch,
-        );
+        }
+        .run(scratch);
     }
 }
 
@@ -153,7 +175,21 @@ pub unsafe fn dgemm_raw_packed(
         "leading dimension too small for block height"
     );
     assert!(k == 0 || ldb >= k, "ldb too small");
-    dgemm_core(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
+    Gemm {
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        trans_b: false,
+        beta,
+        c,
+        ldc,
+    }
+    .run(scratch);
 }
 
 /// Raw-pointer variant of [`dgemm`] (per-thread scratch arena).
@@ -178,13 +214,10 @@ pub unsafe fn dgemm_raw(
     with_thread_scratch(|s| dgemm_raw_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, s));
 }
 
-/// The five-loop blocked driver. Dimensions are pre-validated.
-///
-/// # Safety
-///
-/// See [`dgemm_raw_packed`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn dgemm_core(
+/// One pre-validated GEMM call: `C ← α·A·op(B) + β·C` with `op(B)` = `B`
+/// (`B` stored `k×n`) or `Bᵀ` (`B` stored `n×k`).
+#[derive(Clone, Copy)]
+struct Gemm {
     m: usize,
     n: usize,
     k: usize,
@@ -193,65 +226,130 @@ unsafe fn dgemm_core(
     lda: usize,
     b: *const f64,
     ldb: usize,
+    trans_b: bool,
     beta: f64,
     c: *mut f64,
     ldc: usize,
-    scratch: &mut GemmScratch,
-) {
-    if k == 0 || alpha == 0.0 {
-        scale_c(beta, c, ldc, m, n);
-        return;
+}
+
+impl Gemm {
+    /// Run on the micro-kernel path this CPU supports best, detected
+    /// once for the whole call.
+    ///
+    /// # Safety
+    ///
+    /// See [`dgemm_raw_packed`] / [`dgemm_nt_raw_packed`].
+    unsafe fn run(self, scratch: &mut GemmScratch) {
+        self.run_on(KernelPath::detect(), scratch);
     }
-    scratch.reserve(m, n, k);
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            // β is applied on each tile's first visit (pc == 0) and the
-            // later k blocks accumulate — the old standalone β pass
-            // folded into the first real traversal of C
-            let beta_eff = if pc == 0 { beta } else { 1.0 };
-            pack_b(kc, nc, b.add(jc * ldb + pc), ldb, &mut scratch.b_pack);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a(mc, kc, a.add(pc * lda + ic), lda, &mut scratch.a_pack);
-                let mut jr = 0;
-                while jr < nc {
-                    let nr = NR.min(nc - jr);
-                    let bp = &scratch.b_pack[jr * kc..jr * kc + kc * NR];
-                    let mut ir = 0;
-                    while ir < mc {
-                        let mr = MR.min(mc - ir);
-                        let ap = &scratch.a_pack[ir * kc..ir * kc + kc * MR];
-                        let acc = micro_tile(kc, ap, bp);
-                        store_tile(
-                            &acc,
-                            alpha,
-                            beta_eff,
-                            c.add((jc + jr) * ldc + ic + ir),
-                            ldc,
-                            mr,
-                            nr,
-                        );
-                        ir += MR;
-                    }
-                    jr += NR;
-                }
-                ic += MC;
-            }
-            pc += KC;
+
+    /// Run on `path`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Gemm::run`], and the CPU must support `path` (it came from
+    /// [`KernelPath::detect`] or [`KernelPath::supported`]).
+    unsafe fn run_on(self, path: KernelPath, scratch: &mut GemmScratch) {
+        if self.k == 0 || self.alpha == 0.0 {
+            scale_c(self.beta, self.c, self.ldc, self.m, self.n);
+            return;
         }
-        jc += NC;
+        scratch.reserve(self.m, self.n, self.k);
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            KernelPath::Avx512 => self.blocked::<MR_AVX512, NR_AVX512>(avx512_16x8, scratch),
+            #[cfg(target_arch = "x86_64")]
+            KernelPath::Avx2Fma => self.blocked::<MR, NR>(avx2fma_8x4, scratch),
+            KernelPath::Portable => self.blocked::<MR, NR>(portable_tile, scratch),
+        }
+    }
+
+    /// The five-loop blocked driver for one `MR × NR` register tile.
+    /// The `(pc, jc)` block of `op(B)` sits at `b + jc·ldb + pc` when `B`
+    /// is stored as is and at `b + pc·ldb + jc` when it is transposed.
+    ///
+    /// # Safety
+    ///
+    /// As [`Gemm::run_on`]; `scratch` must cover the call
+    /// ([`GemmScratch::reserve`]).
+    unsafe fn blocked<const MR: usize, const NR: usize>(
+        self,
+        tile: TileFn<MR, NR>,
+        scratch: &mut GemmScratch,
+    ) {
+        let Gemm {
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            lda,
+            b,
+            ldb,
+            trans_b,
+            beta,
+            c,
+            ldc,
+        } = self;
+        let (a_pack, b_pack) = scratch.buffers();
+        let mut jc = 0;
+        while jc < n {
+            let nc = NC.min(n - jc);
+            let mut pc = 0;
+            while pc < k {
+                let kc = KC.min(k - pc);
+                // β is applied on each tile's first visit (pc == 0) and the
+                // later k blocks accumulate — the old standalone β pass
+                // folded into the first real traversal of C
+                let beta_eff = if pc == 0 { beta } else { 1.0 };
+                if trans_b {
+                    pack_b_trans::<NR>(kc, nc, b.add(pc * ldb + jc), ldb, b_pack);
+                } else {
+                    pack_b::<NR>(kc, nc, b.add(jc * ldb + pc), ldb, b_pack);
+                }
+                let mut ic = 0;
+                while ic < m {
+                    let mc = MC.min(m - ic);
+                    pack_a::<MR>(mc, kc, a.add(pc * lda + ic), lda, a_pack);
+                    let mut jr = 0;
+                    while jr < nc {
+                        let nr = NR.min(nc - jr);
+                        // full kc·NR / kc·MR panels: the slicing is
+                        // bounds-checked, and the kernel relies on it
+                        let bp = &b_pack[jr * kc..jr * kc + kc * NR];
+                        let mut ir = 0;
+                        while ir < mc {
+                            let mr = MR.min(mc - ir);
+                            let ap = &a_pack[ir * kc..ir * kc + kc * MR];
+                            // SAFETY: `run_on`'s caller vouches that the
+                            // CPU runs this path's kernel
+                            let acc = tile(kc, ap, bp);
+                            store_tile(
+                                &acc,
+                                alpha,
+                                beta_eff,
+                                c.add((jc + jr) * ldc + ic + ir),
+                                ldc,
+                                mr,
+                                nr,
+                            );
+                            ir += MR;
+                        }
+                        jr += NR;
+                    }
+                    ic += MC;
+                }
+                pc += KC;
+            }
+            jc += NC;
+        }
     }
 }
 
 /// `C ← α·A·Bᵀ + β·C` with `A: m×k`, `B` **stored** `n×k` (so `Bᵀ` is
 /// `k×n`), `C: m×n`, all column-major with leading dimensions
 /// `lda/ldb/ldc`. The transpose is absorbed in the packing stage
-/// ([`pack_b_trans`]); blocking and the micro-kernel are identical to
+/// ([`pack_b_trans`]); blocking and the micro-kernel are those of
 /// [`dgemm_packed`]. This is the kernel behind the Cholesky trailing
 /// update `A_ij ← A_ij − L_ik·L_jkᵀ` and the rectangle of SYRK.
 ///
@@ -287,20 +385,22 @@ pub fn dgemm_nt_packed(
     // SAFETY: dimensions checked against the slice lengths above; the
     // borrow rules guarantee c is exclusive and disjoint from a and b.
     unsafe {
-        dgemm_nt_core(
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        Gemm {
             m,
             n,
             k,
             alpha,
-            a.as_ptr(),
+            a,
             lda,
-            b.as_ptr(),
+            b,
             ldb,
+            trans_b: true,
             beta,
-            c.as_mut_ptr(),
+            c,
             ldc,
-            scratch,
-        );
+        }
+        .run(scratch);
     }
 }
 
@@ -354,76 +454,21 @@ pub unsafe fn dgemm_nt_raw_packed(
         "leading dimension too small for block height"
     );
     assert!(ldb >= n, "ldb too small");
-    dgemm_nt_core(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
-}
-
-/// The five-loop blocked driver of the NT product. Identical to
-/// [`dgemm_core`] except the `(pc, jc)` block of `Bᵀ` is located in the
-/// stored `B` at `b + pc·ldb + jc` and packed through [`pack_b_trans`].
-///
-/// # Safety
-///
-/// See [`dgemm_nt_raw_packed`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn dgemm_nt_core(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-    scratch: &mut GemmScratch,
-) {
-    if k == 0 || alpha == 0.0 {
-        scale_c(beta, c, ldc, m, n);
-        return;
+    Gemm {
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        trans_b: true,
+        beta,
+        c,
+        ldc,
     }
-    scratch.reserve(m, n, k);
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let beta_eff = if pc == 0 { beta } else { 1.0 };
-            pack_b_trans(kc, nc, b.add(pc * ldb + jc), ldb, &mut scratch.b_pack);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a(mc, kc, a.add(pc * lda + ic), lda, &mut scratch.a_pack);
-                let mut jr = 0;
-                while jr < nc {
-                    let nr = NR.min(nc - jr);
-                    let bp = &scratch.b_pack[jr * kc..jr * kc + kc * NR];
-                    let mut ir = 0;
-                    while ir < mc {
-                        let mr = MR.min(mc - ir);
-                        let ap = &scratch.a_pack[ir * kc..ir * kc + kc * MR];
-                        let acc = micro_tile(kc, ap, bp);
-                        store_tile(
-                            &acc,
-                            alpha,
-                            beta_eff,
-                            c.add((jc + jr) * ldc + ic + ir),
-                            ldc,
-                            mr,
-                            nr,
-                        );
-                        ir += MR;
-                    }
-                    jr += NR;
-                }
-                ic += MC;
-            }
-            pc += KC;
-        }
-        jc += NC;
-    }
+    .run(scratch);
 }
 
 /// `C ← β·C` for the degenerate `k = 0` / `α = 0` cases (β = 0
@@ -611,6 +656,71 @@ mod tests {
                     got.approx_eq(&want, tol),
                     "shape ({m},{n},{k}) alpha {alpha} beta {beta}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_supported_path_matches_jki_on_both_operand_forms() {
+        // the driver at each register tile this host can run, over the
+        // DAG's tile sizes and cuts through both tiles' edges and KC
+        for path in KernelPath::supported() {
+            let (mr, nr) = path.tile();
+            for (idx, (m, n, k)) in [
+                (16, 16, 16),
+                (100, 100, 100),
+                (mr - 1, nr - 1, 7),
+                (mr + 1, nr + 1, KC + 3),
+                (MC + mr + 3, 3 * nr + 1, 2 * KC + 1),
+                (1, 1, 1),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let seed = 10 * idx as u64;
+                let a = gen::uniform(m, k, seed);
+                let b = gen::uniform(n, k, seed + 1); // stored n×k for A·Bᵀ
+                let bt = DenseMatrix::from_fn(k, n, |i, j| b.get(j, i));
+                let c = gen::uniform(m, n, seed + 2);
+                let mut want = c.clone();
+                let ldc = c.ld();
+                dgemm_jki(
+                    m,
+                    n,
+                    k,
+                    -1.0,
+                    a.as_slice(),
+                    a.ld(),
+                    bt.as_slice(),
+                    bt.ld(),
+                    0.5,
+                    want.as_mut_slice(),
+                    ldc,
+                );
+                for (trans_b, bm) in [(false, &bt), (true, &b)] {
+                    let mut got = c.clone();
+                    let g = Gemm {
+                        m,
+                        n,
+                        k,
+                        alpha: -1.0,
+                        a: a.as_slice().as_ptr(),
+                        lda: a.ld(),
+                        b: bm.as_slice().as_ptr(),
+                        ldb: bm.ld(),
+                        trans_b,
+                        beta: 0.5,
+                        c: got.as_mut_slice().as_mut_ptr(),
+                        ldc,
+                    };
+                    // SAFETY: whole, distinct matrices; `path` is supported
+                    unsafe { g.run_on(path, &mut GemmScratch::new()) };
+                    assert!(
+                        got.approx_eq(&want, 1e-13 * k as f64),
+                        "{} ({m},{n},{k}) trans_b {trans_b}",
+                        path.name()
+                    );
+                }
             }
         }
     }

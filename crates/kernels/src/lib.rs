@@ -5,8 +5,10 @@
 //! factorizations need, from scratch:
 //!
 //! * [`gemm::dgemm`] — `C ← α·A·B + β·C`, a GotoBLAS/BLIS-style packed,
-//!   register-tiled kernel ([`pack`] + [`microkernel`]; see the
-//!   [`gemm`] module docs for the MR/NR/MC/KC/NC blocking table),
+//!   register-tiled kernel ([`pack`] + [`microkernel`]: a 16×8 AVX-512F
+//!   tile or an 8×4 AVX2+FMA / portable one, picked per call from the
+//!   detected CPU features; see the [`gemm`] module docs for the
+//!   MR/NR/MC/KC/NC blocking table),
 //! * [`trsm`] — the two triangular solves LU needs, blocked so their
 //!   trailing work runs through the packed GEMM,
 //! * [`getrf::dgetf2`] — unblocked Gaussian elimination with partial

@@ -16,11 +16,19 @@
 //! Zero padding lets the micro-kernel always run a full `MR×NR` tile;
 //! the store stage writes back only the real `mr×nr` corner.
 //!
+//! The register tile depends on the micro-kernel path the driver picked
+//! ([`crate::microkernel::KernelPath`]), so the packing routines take
+//! `MR` / `NR` as const generics, one instantiation per tile shape.
+//!
 //! The buffers live in a [`GemmScratch`] arena owned by the caller, so a
 //! hot loop (the threaded executor's trailing-matrix updates) packs into
 //! the same allocation for every task instead of hitting the allocator.
+//! Each buffer is used from its first 64-byte boundary on, so every
+//! panel starts a cache line and no 64-byte AVX-512 load of the A sliver
+//! splits across two lines (on a Xeon, interleaved runs with the
+//! buffers 16 bytes off a boundary were 4–10% slower at b = 100 and 256).
 
-use crate::gemm::{KC, MC, MR, NC, NR};
+use crate::gemm::{KC, MC, MR_AVX512, NC, NR_AVX512};
 
 /// Reusable packing arena for the blocked GEMM.
 ///
@@ -50,11 +58,13 @@ impl GemmScratch {
         s
     }
 
-    /// Grow the arena to cover a GEMM of the given dimensions.
+    /// Grow the arena to cover a GEMM of the given dimensions, for every
+    /// register tile the driver instantiates: panels padded to the widest
+    /// tile (16×8) also hold the narrower 8×4 ones, whose sizes divide it.
     pub fn reserve(&mut self, m: usize, n: usize, k: usize) {
         let kc = k.min(KC);
-        let a_len = round_up(m.min(MC), MR) * kc;
-        let b_len = kc * round_up(n.min(NC), NR);
+        let a_len = round_up(m.min(MC), MR_AVX512) * kc + ALIGN_PAD;
+        let b_len = kc * round_up(n.min(NC), NR_AVX512) + ALIGN_PAD;
         if self.a_pack.len() < a_len {
             self.a_pack.resize(a_len, 0.0);
         }
@@ -62,6 +72,25 @@ impl GemmScratch {
             self.b_pack.resize(b_len, 0.0);
         }
     }
+
+    /// The A and B packing buffers, each starting on a 64-byte boundary.
+    pub(crate) fn buffers(&mut self) -> (&mut [f64], &mut [f64]) {
+        (
+            cache_aligned(&mut self.a_pack),
+            cache_aligned(&mut self.b_pack),
+        )
+    }
+}
+
+/// Elements [`GemmScratch::reserve`] adds so a 64-byte-aligned start
+/// still leaves the requested length: a `Vec<f64>` is 8-byte aligned, so
+/// the boundary is at most 7 elements in.
+const ALIGN_PAD: usize = 64 / std::mem::size_of::<f64>() - 1;
+
+/// `buf` from its first 64-byte boundary on (empty if it has none).
+fn cache_aligned(buf: &mut [f64]) -> &mut [f64] {
+    let off = buf.as_ptr().align_offset(64).min(buf.len());
+    &mut buf[off..]
 }
 
 /// Smallest multiple of `q` that is `>= x` (0 stays 0).
@@ -93,7 +122,13 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R
 ///
 /// `a` must be valid for reads over the block's span
 /// (`(kc-1)·lda + mc` elements).
-pub unsafe fn pack_a(mc: usize, kc: usize, a: *const f64, lda: usize, buf: &mut [f64]) {
+pub unsafe fn pack_a<const MR: usize>(
+    mc: usize,
+    kc: usize,
+    a: *const f64,
+    lda: usize,
+    buf: &mut [f64],
+) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(
         buf.len() >= round_up(mc, MR) * kc,
@@ -125,7 +160,13 @@ pub unsafe fn pack_a(mc: usize, kc: usize, a: *const f64, lda: usize, buf: &mut 
 ///
 /// `b` must be valid for reads over the block's span
 /// (`(nc-1)·ldb + kc` elements).
-pub unsafe fn pack_b(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut [f64]) {
+pub unsafe fn pack_b<const NR: usize>(
+    kc: usize,
+    nc: usize,
+    b: *const f64,
+    ldb: usize,
+    buf: &mut [f64],
+) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(
         buf.len() >= kc * round_up(nc, NR),
@@ -159,7 +200,13 @@ pub unsafe fn pack_b(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut 
 ///
 /// `b` must be valid for reads over the addressed span of the *stored*
 /// block (`(kc-1)·ldb + nc` elements).
-pub unsafe fn pack_b_trans(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut [f64]) {
+pub unsafe fn pack_b_trans<const NR: usize>(
+    kc: usize,
+    nc: usize,
+    b: *const f64,
+    ldb: usize,
+    buf: &mut [f64],
+) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(
         buf.len() >= kc * round_up(nc, NR),
@@ -186,6 +233,17 @@ pub unsafe fn pack_b_trans(kc: usize, nc: usize, b: *const f64, ldb: usize, buf:
 mod tests {
     use super::*;
 
+    use crate::gemm::{MR, NR};
+
+    /// Run a const-generic check for every `MR × NR` tile the driver
+    /// instantiates.
+    macro_rules! for_each_tile {
+        ($check:ident) => {
+            $check::<MR, NR>();
+            $check::<MR_AVX512, NR_AVX512>();
+        };
+    }
+
     #[test]
     fn round_up_is_exact_on_multiples() {
         assert_eq!(round_up(0, MR), 0);
@@ -193,13 +251,13 @@ mod tests {
         assert_eq!(round_up(MR + 1, MR), 2 * MR);
     }
 
-    #[test]
-    fn pack_a_layout_and_padding() {
+    fn check_pack_a<const MR: usize, const NR: usize>() {
         // 5x3 block inside ld=7 storage, MR-panel layout with zero pad
         let (mc, kc, lda) = (5usize, 3usize, 7usize);
         let a: Vec<f64> = (0..lda * kc).map(|x| x as f64).collect();
         let mut buf = vec![f64::NAN; round_up(mc, MR) * kc];
-        unsafe { pack_a(mc, kc, a.as_ptr(), lda, &mut buf) };
+        // SAFETY: `a` holds lda·kc ≥ (kc-1)·lda + mc elements
+        unsafe { pack_a::<MR>(mc, kc, a.as_ptr(), lda, &mut buf) };
         for l in 0..kc {
             for i in 0..mc.min(MR) {
                 assert_eq!(buf[l * MR + i], a[l * lda + i], "panel 0 ({i},{l})");
@@ -221,11 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn pack_b_layout_and_padding() {
+    fn pack_a_layout_and_padding() {
+        for_each_tile!(check_pack_a);
+    }
+
+    fn check_pack_b<const MR: usize, const NR: usize>() {
         let (kc, nc, ldb) = (3usize, NR + 1, 5usize);
         let b: Vec<f64> = (0..ldb * nc).map(|x| x as f64).collect();
         let mut buf = vec![f64::NAN; kc * round_up(nc, NR)];
-        unsafe { pack_b(kc, nc, b.as_ptr(), ldb, &mut buf) };
+        // SAFETY: `b` holds ldb·nc ≥ (nc-1)·ldb + kc elements
+        unsafe { pack_b::<NR>(kc, nc, b.as_ptr(), ldb, &mut buf) };
         // panel 0: columns 0..NR row-by-row
         for l in 0..kc {
             for c in 0..NR {
@@ -242,10 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn pack_b_trans_matches_pack_b_of_explicit_transpose() {
+    fn pack_b_layout_and_padding() {
+        for_each_tile!(check_pack_b);
+    }
+
+    fn check_pack_b_trans<const MR: usize, const NR: usize>() {
         // packing Bᵀ from stored B must equal packing an explicitly
-        // transposed copy with pack_b
-        let (kc, nc, ldb) = (5usize, NR + 3, 9usize);
+        // transposed copy with pack_b; ldb derives from nc so the stored
+        // block fits its buffer at every tile width
+        let (kc, nc) = (5usize, NR + 3);
+        let ldb = nc + 2;
         // stored B is nc × kc with leading dimension ldb
         let b: Vec<f64> = (0..ldb * kc).map(|x| (x * 7 % 23) as f64).collect();
         // explicit transpose: kc × nc, ld = kc
@@ -257,11 +326,30 @@ mod tests {
         }
         let mut buf1 = vec![f64::NAN; kc * round_up(nc, NR)];
         let mut buf2 = vec![f64::NAN; kc * round_up(nc, NR)];
+        // SAFETY: `b` holds ldb·kc elements, `bt` kc·nc
         unsafe {
-            pack_b_trans(kc, nc, b.as_ptr(), ldb, &mut buf1);
-            pack_b(kc, nc, bt.as_ptr(), kc, &mut buf2);
+            pack_b_trans::<NR>(kc, nc, b.as_ptr(), ldb, &mut buf1);
+            pack_b::<NR>(kc, nc, bt.as_ptr(), kc, &mut buf2);
         }
         assert_eq!(buf1, buf2);
+    }
+
+    #[test]
+    fn pack_b_trans_matches_pack_b_of_explicit_transpose() {
+        for_each_tile!(check_pack_b_trans);
+    }
+
+    #[test]
+    fn buffers_start_on_a_cache_line_and_cover_the_reservation() {
+        for (m, n, k) in [(1, 1, 1), (100, 100, 100), (MC + 3, 17, KC + 1)] {
+            let mut s = GemmScratch::sized_for(m, n, k);
+            let kc = k.min(KC);
+            let (a, b) = s.buffers();
+            assert_eq!(a.as_ptr() as usize % 64, 0);
+            assert_eq!(b.as_ptr() as usize % 64, 0);
+            assert!(a.len() >= round_up(m.min(MC), MR_AVX512) * kc);
+            assert!(b.len() >= kc * round_up(n.min(NC), NR_AVX512));
+        }
     }
 
     #[test]

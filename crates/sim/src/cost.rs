@@ -109,7 +109,9 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
 /// with the `kernels` bench bin). The *relative* efficiencies encoded
 /// here (panel < trsm < gemm, and the layout/grouping ordering) still
 /// match that kernel family; only the absolute peak fraction each row
-/// represents shifted with the faster kernels.
+/// represents shifted with the faster kernels. The table was calibrated
+/// against the 8×4 micro-kernel and stays as it is now that AVX-512
+/// hosts run a 16×8 one, so the reproduced figures keep their meaning.
 pub fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
     let incpiv = g.variant() == DagVariant::TileIncPiv;
     match kind {
