@@ -11,6 +11,14 @@
 //!         [--quick]      # skip the n = 1024 sizes (fast smoke)
 //! ```
 //!
+//! The last rung is the tile↔dense boundary at `n = 2000, b = 100` on
+//! the solver's default BCL grid: the owner-split load, the fused
+//! unload (copy-out with the deferred left swaps applied column by
+//! column), each whole on one thread and split over one scoped thread
+//! per grid cell, next to the former copy-out — an element-wise
+//! `to_dense` followed by a strided row-swap pass. The grid is the
+//! solver's default for one worker per available core.
+//!
 //! Every GEMM size also runs the seed `j-k-i` AXPY kernel
 //! ([`calu::kernels::dgemm_jki`]) and reports the packed kernel's
 //! speedup over it — the before/after evidence for the BLIS-style
@@ -18,12 +26,14 @@
 //! metric (the same fixed naive-matmul workload `perf_smoke` uses) makes
 //! the `_secs` values comparable across hosts.
 
+use calu::core::shared::{load, load_part, unload, unload_part, SharedDense, SharedTiles};
 use calu::kernels::microkernel::KernelPath;
 use calu::kernels::{
     dgemm_jki, dgemm_packed, dgetrf_recursive_packed, dtrsm_left_lower_unit_packed,
     dtrsm_right_upper_packed, flops, GemmScratch,
 };
-use calu::matrix::{gen, DenseMatrix};
+use calu::matrix::{gen, BclMatrix, DenseMatrix, ProcessGrid, RowPerm, TileStorage};
+use calu::{MatrixSource, Solver};
 use calu_bench::perf::{calibration_secs, min_of, write_flat_json, CALIBRATION_KEY};
 use calu_bench::timing::fmt_secs;
 
@@ -101,6 +111,126 @@ fn upper(n: usize, seed: u64) -> DenseMatrix {
             0.0
         }
     })
+}
+
+/// The copy-out the fused unload replaced: every element through the
+/// tile map, then each panel's swaps applied to the columns left of it
+/// one strided row pair at a time.
+fn old_copy_out(s: &BclMatrix, perm: &RowPerm, b: usize) -> DenseMatrix {
+    let t = s.tiling();
+    let mut lu = DenseMatrix::zeros(t.m, t.n);
+    for (ti, tj) in t.tiles() {
+        let tile = s.tile(ti, tj);
+        for j in 0..tile.cols {
+            for i in 0..tile.rows {
+                lu.set(t.row_start(ti) + i, t.col_start(tj) + j, tile.get(i, j));
+            }
+        }
+    }
+    for (r, &p) in perm.pivots().iter().enumerate() {
+        let left = (r / b * b).min(t.n);
+        if r != p {
+            lu.swap_rows_in_cols(r, p, 0, left);
+        }
+    }
+    lu
+}
+
+/// The boundary rung: load, fused unload and the former copy-out at
+/// `n = 2000, b = 100` on the default BCL grid for one worker per core,
+/// with a real CALU permutation. Returns `(name, secs)` metrics.
+fn boundary_rung() -> Vec<(String, f64)> {
+    const N: usize = 2000;
+    const B: usize = 100;
+    const REPS: usize = 5;
+    let a = gen::uniform(N, N, 40);
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let solver = Solver::new(MatrixSource::Dense(a.clone()))
+        .tile(B)
+        .threads(cores);
+    let grid: ProcessGrid = solver.plan().expect("default plan").grid;
+    let workers = grid.size();
+    let perm = solver
+        .run()
+        .ok()
+        .and_then(|r| r.factorization)
+        .expect("a factorization for the permutation")
+        .perm;
+    let s: BclMatrix = load(&a, B, grid);
+
+    let load_serial = min_of(REPS, || {
+        let t0 = std::time::Instant::now();
+        std::hint::black_box(load::<BclMatrix>(&a, B, grid));
+        t0.elapsed().as_secs_f64()
+    });
+    let load_split = min_of(REPS, || {
+        let t0 = std::time::Instant::now();
+        let tiles = SharedTiles::new(BclMatrix::zeros(N, N, B, grid));
+        std::thread::scope(|sc| {
+            for me in 0..workers {
+                let (tiles, a) = (&tiles, &a);
+                // SAFETY: distinct `me`, nothing else touches the tiles
+                sc.spawn(move || unsafe { load_part(tiles, a, me, workers) });
+            }
+        });
+        std::hint::black_box(tiles.into_inner());
+        t0.elapsed().as_secs_f64()
+    });
+    let unload_serial = min_of(REPS, || {
+        let t0 = std::time::Instant::now();
+        std::hint::black_box(unload(&s, &perm));
+        t0.elapsed().as_secs_f64()
+    });
+    let unload_split = min_of(REPS, || {
+        let t0 = std::time::Instant::now();
+        let mut lu = DenseMatrix::zeros(N, N);
+        let out = SharedDense::new(&mut lu);
+        std::thread::scope(|sc| {
+            for me in 0..workers {
+                let (s, perm, out) = (&s, &perm, &out);
+                // SAFETY: distinct `me` and one shared `out`
+                sc.spawn(move || unsafe { unload_part(s, perm, out, me, workers) });
+            }
+        });
+        std::hint::black_box(lu);
+        t0.elapsed().as_secs_f64()
+    });
+    let old = min_of(REPS, || {
+        let t0 = std::time::Instant::now();
+        std::hint::black_box(old_copy_out(&s, &perm, B));
+        t0.elapsed().as_secs_f64()
+    });
+    assert!(
+        old_copy_out(&s, &perm, B).as_slice() == unload(&s, &perm).as_slice(),
+        "the fused unload must match the former copy-out"
+    );
+
+    println!(
+        "tile<->dense boundary (n={N}, b={B}, BCL {}x{} grid, {workers} workers):",
+        grid.pr(),
+        grid.pc()
+    );
+    println!(
+        "  load    {} serial   {} split",
+        fmt_secs(load_serial),
+        fmt_secs(load_split)
+    );
+    println!(
+        "  unload  {} serial   {} split   (copy-out + left swaps)",
+        fmt_secs(unload_serial),
+        fmt_secs(unload_split)
+    );
+    println!(
+        "  former element-wise to_dense + strided left swaps {}",
+        fmt_secs(old)
+    );
+    vec![
+        ("boundary_load_serial_secs".into(), load_serial),
+        ("boundary_load_split_secs".into(), load_split),
+        ("boundary_unload_serial_secs".into(), unload_serial),
+        ("boundary_unload_split_secs".into(), unload_split),
+        ("boundary_old_copy_out_secs".into(), old),
+    ]
 }
 
 fn main() {
@@ -254,6 +384,8 @@ fn main() {
         metrics.push((format!("getrf_{m}x{n}_secs"), secs));
         metrics.push((format!("getrf_{m}x{n}_gflops"), fl / secs / 1e9));
     }
+
+    metrics.extend(boundary_rung());
 
     let json = write_flat_json(&metrics);
     std::fs::write(&out, &json).expect("write metrics file");

@@ -59,10 +59,9 @@ use calu_trace::{SpanKind, TaskSpan, Timeline};
 use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
+use crate::shared::{load, TileLayout};
 use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{
-    apply_left_swaps, host_topology, steal_sweep, ItemState, KernelSet, ThreadStats,
-};
+use crate::threaded::{host_topology, steal_sweep, ItemState, KernelSet, ThreadStats};
 
 /// What one batch item factors: either a caller-held dense matrix, or
 /// a *generator* whose tile data is built lazily on the worker that
@@ -467,13 +466,11 @@ pub(crate) fn run_item_sequential<S: TileStorage + Send>(
 /// generator fills and the conversions run in parallel instead of
 /// serializing on the caller.
 #[allow(clippy::too_many_arguments)]
-fn run_small_item<S: TileStorage + Send>(
+fn run_small_item<S: TileLayout>(
     src: &BatchSource<'_>,
     g: &Arc<TaskGraph>,
     grid: ProcessGrid,
     cfg: &CaluConfig,
-    make: &(impl Fn(&DenseMatrix) -> S + Sync),
-    into_dense: &(impl Fn(S) -> DenseMatrix + Sync),
     idx: usize,
     me: usize,
     scratch: &mut GemmScratch,
@@ -482,35 +479,26 @@ fn run_small_item<S: TileStorage + Send>(
 ) -> Factorization {
     let a = src.materialize();
     let item = ItemState::new(
-        make(&a),
+        load::<S>(&a, cfg.b, grid),
         Arc::clone(g),
         grid,
         nstatic_for(cfg.dratio, g.num_panels()),
     );
     drop(a); // tile data is converted; free the generator fill early
     run_item_sequential(&item, idx, me, scratch, t0, haul, None);
-    let (s, perm, singular_at) = item.finish();
-    let mut lu = into_dense(s);
-    apply_left_swaps(&mut lu, g, &perm, cfg.b);
-    Factorization {
-        lu,
-        perm,
-        singular_at,
-    }
+    item.factorization()
 }
 
 /// The generic pool: matrices and graphs are per item, everything else
 /// is shared. Returns per-item `(factorization, timeline, stats,
 /// makespan)` plus the batch-level accounting.
 #[allow(clippy::type_complexity)]
-fn batch_tiled<S: TileStorage + Send>(
+fn batch_tiled<S: TileLayout>(
     sources: &[BatchSource<'_>],
     graphs: &[Arc<TaskGraph>],
     small: &[bool],
     grid: ProcessGrid,
     cfg: &CaluConfig,
-    make: &(impl Fn(&DenseMatrix) -> S + Sync),
-    into_dense: &(impl Fn(S) -> DenseMatrix + Sync),
 ) -> (
     Vec<(Factorization, Timeline, Vec<ThreadStats>, f64)>,
     f64,
@@ -531,7 +519,7 @@ fn batch_tiled<S: TileStorage + Send>(
             (!is_small).then(|| {
                 let a = src.materialize();
                 ItemState::new(
-                    make(&a),
+                    load::<S>(&a, cfg.b, grid),
                     Arc::clone(g),
                     grid,
                     nstatic_for(cfg.dratio, g.num_panels()),
@@ -677,13 +665,11 @@ fn batch_tiled<S: TileStorage + Send>(
                         shared.work_left.fetch_sub(1, Ordering::AcqRel);
                     } else if let Some(Work::Small(it)) = work {
                         idle_spins = 0;
-                        let f = run_small_item(
+                        let f = run_small_item::<S>(
                             &sources[it],
                             &graphs[it],
                             grid,
                             cfg,
-                            make,
-                            into_dense,
                             it,
                             me,
                             &mut scratch,
@@ -732,17 +718,10 @@ fn batch_tiled<S: TileStorage + Send>(
         .enumerate()
         .map(|(it, item)| {
             let factorization = match item {
-                // co-operative items are finished here, after the pool
-                Some(item) => {
-                    let (s, perm, singular_at) = item.finish();
-                    let mut lu = into_dense(s);
-                    apply_left_swaps(&mut lu, &graphs[it], &perm, cfg.b);
-                    Factorization {
-                        lu,
-                        perm,
-                        singular_at,
-                    }
-                }
+                // co-operative items are unloaded here, after the pool,
+                // one at a time: each item's tiles are freed before the
+                // next item's dense copy is made
+                Some(item) => item.factorization(),
                 // co-scheduled items were finished by their claimant
                 None => small_results[it]
                     .lock()
@@ -839,9 +818,9 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
         .collect();
 
     macro_rules! run_layout {
-        ($make:expr, $into:expr) => {{
+        ($layout:ty) => {{
             let (results, wall, spawn, failed) =
-                batch_tiled(&sources, &graphs, &small, grid, cfg, &$make, &$into);
+                batch_tiled::<$layout>(&sources, &graphs, &small, grid, cfg);
             let items = results
                 .into_iter()
                 .enumerate()
@@ -865,18 +844,9 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
     }
 
     Ok(match cfg.layout {
-        Layout::ColumnMajor => run_layout!(
-            |a: &DenseMatrix| CmTiles::from_dense(a, cfg.b),
-            |s: CmTiles| s.to_dense()
-        ),
-        Layout::BlockCyclic => run_layout!(
-            |a: &DenseMatrix| BclMatrix::from_dense(a, cfg.b, grid),
-            |s: BclMatrix| s.to_dense()
-        ),
-        Layout::TwoLevelBlock => run_layout!(
-            |a: &DenseMatrix| TlbMatrix::from_dense(a, cfg.b, grid),
-            |s: TlbMatrix| s.to_dense()
-        ),
+        Layout::ColumnMajor => run_layout!(CmTiles),
+        Layout::BlockCyclic => run_layout!(BclMatrix),
+        Layout::TwoLevelBlock => run_layout!(TlbMatrix),
     })
 }
 

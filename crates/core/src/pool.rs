@@ -52,8 +52,9 @@ use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
+use crate::shared::{load, TileLayout};
 use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{apply_left_swaps, host_topology, ItemState, KernelSet, ThreadStats};
+use crate::threaded::{host_topology, ItemState, KernelSet, ThreadStats};
 
 /// What one service job factors. Owned (`'static`) so a job can outlive
 /// its submitter: either dense data moved in, or a seeded generator
@@ -183,31 +184,6 @@ pub trait JobSink: Send + 'static {
     fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>);
 }
 
-/// Tile storages the pool can run — the three paper layouts, each
-/// knowing how to build itself from dense data. `to_dense` comes with
-/// [`TileStorage`].
-trait PoolStorage: TileStorage + Send + 'static {
-    fn build(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self;
-}
-
-impl PoolStorage for CmTiles {
-    fn build(a: &DenseMatrix, b: usize, _grid: ProcessGrid) -> Self {
-        CmTiles::from_dense(a, b)
-    }
-}
-
-impl PoolStorage for BclMatrix {
-    fn build(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
-        BclMatrix::from_dense(a, b, grid)
-    }
-}
-
-impl PoolStorage for TlbMatrix {
-    fn build(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
-        TlbMatrix::from_dense(a, b, grid)
-    }
-}
-
 /// The verification figures a `verify` pool reports per job: each
 /// kernel set's own residual, plus element growth for pivoted LU only
 /// (Cholesky does not pivot, so the figure is meaningless there).
@@ -295,9 +271,9 @@ type RunHeap = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
 
 /// One co-operative (large) job in flight: the item state plus this
 /// run's own queue set. Runs are shared by `Arc` between the `active`
-/// list and whichever workers are mid-task, which is why results are
-/// extracted by reference (`finish_by_ref`/`storage_ref`) instead of
-/// by value.
+/// list and whichever workers are mid-task, which is why the finishing
+/// worker unloads the factors by reference (`ItemState::factorization`)
+/// instead of taking the storage by value.
 struct LargeRun<S: TileStorage> {
     item: ItemState<S>,
     total: usize,
@@ -397,7 +373,7 @@ struct Engine<S: TileStorage> {
 /// to cost nothing, short enough that a lost notification is harmless.
 const IDLE_TICK: Duration = Duration::from_millis(1);
 
-impl<S: PoolStorage> Engine<S> {
+impl<S: TileLayout + 'static> Engine<S> {
     fn threads(&self) -> usize {
         self.cfg.threads
     }
@@ -507,17 +483,7 @@ impl<S: PoolStorage> Engine<S> {
             let mut st = self.state.lock();
             st.active.retain(|r| !Arc::ptr_eq(r, run));
         }
-        let (perm, singular_at) = run.item.finish_by_ref();
-        // SAFETY: done == total was observed with Acquire ordering, so
-        // every task body's writes are visible and no worker holds a
-        // tile pointer into this run.
-        let mut lu = unsafe { run.item.storage_ref() }.to_dense();
-        apply_left_swaps(&mut lu, &run.item.g, &perm, self.cfg.b);
-        let factorization = Factorization {
-            lu,
-            perm,
-            singular_at,
-        };
+        let factorization = run.item.factorization();
         let kernels = KernelSet::for_graph(&run.item.g);
         let (residual, growth_factor) = match &run.a {
             Some(a) => verify_figures(kernels, &factorization, a),
@@ -643,7 +609,7 @@ impl<S: PoolStorage> Engine<S> {
             let a = source.materialize();
             let g = Arc::new(kernels.build_graph(m, n, self.cfg.b, self.leaf_stride)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
-            let item = ItemState::new(S::build(&a, self.cfg.b, self.grid), g, self.grid, nstatic);
+            let item = ItemState::new(load::<S>(&a, self.cfg.b, self.grid), g, self.grid, nstatic);
             Ok((a, item))
         }));
         let (a, item) = match built {
@@ -718,7 +684,7 @@ impl<S: PoolStorage> Engine<S> {
         let g = Arc::new(kernels.build_graph(m, n, self.cfg.b, self.leaf_stride)?);
         let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
         let item = ItemState::new(
-            S::build(&a, self.cfg.b, self.grid),
+            load::<S>(&a, self.cfg.b, self.grid),
             Arc::clone(&g),
             self.grid,
             nstatic,
@@ -765,14 +731,7 @@ impl<S: PoolStorage> Engine<S> {
         if !completed {
             return Ok(None);
         }
-        let (s, perm, singular_at) = item.finish();
-        let mut lu = s.to_dense();
-        apply_left_swaps(&mut lu, &g, &perm, self.cfg.b);
-        let factorization = Factorization {
-            lu,
-            perm,
-            singular_at,
-        };
+        let factorization = item.factorization();
         let (residual, growth_factor) = if self.verify {
             verify_figures(kernels, &factorization, &a)
         } else {
@@ -969,12 +928,12 @@ impl<S: TileStorage> Drop for PanicGuard<'_, S> {
 }
 
 /// Pool state shared by the public handle, generic over storage.
-struct PoolCore<S: PoolStorage> {
+struct PoolCore<S: TileLayout + 'static> {
     engine: Arc<Engine<S>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl<S: PoolStorage> PoolCore<S> {
+impl<S: TileLayout + 'static> PoolCore<S> {
     fn spawn(cfg: CaluConfig, grid: ProcessGrid, verify: bool, limit: usize) -> (Self, f64) {
         let leaf_stride = cfg.leaf_stride.unwrap_or_else(|| grid.pr());
         let threads = cfg.threads;
@@ -1388,6 +1347,31 @@ mod tests {
         }
     }
 
+    /// A [`ChanSink`] whose claim blocks until `gate.1` jobs have been
+    /// claimed pool-wide. A worker blocked in a claim cannot claim again,
+    /// so with the gate at the worker count every worker holds one of
+    /// the first claims — none can run the whole queue alone.
+    struct GatedSink {
+        chan: ChanSink,
+        gate: Arc<(std::sync::Mutex<usize>, usize, std::sync::Condvar)>,
+    }
+
+    impl JobSink for GatedSink {
+        fn started(&self) {
+            let (claimed, need, cv) = &*self.gate;
+            let mut claimed = claimed.lock().unwrap();
+            *claimed += 1;
+            cv.notify_all();
+            while *claimed < *need {
+                claimed = cv.wait(claimed).unwrap();
+            }
+        }
+
+        fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+            Box::new(self.chan).finished(res);
+        }
+    }
+
     fn cfg4() -> CaluConfig {
         CaluConfig::new(16).with_threads(4).with_dratio(0.5)
     }
@@ -1694,8 +1678,9 @@ mod tests {
         // worker. The fix requeues the whole item (its claim was
         // atomic, so redoing it from the source is exact) and lets a
         // survivor redo it. `lose_worker(0, 3)` can only fire after 3
-        // task ticks, which only happen inside an item, so worker 0 is
-        // guaranteed to die mid-item.
+        // task ticks, which only happen inside an item, and the gated
+        // sinks hold the first two claims until both workers have one,
+        // so worker 0 is guaranteed an item and dies mid-way through it.
         use crate::fault::FaultPlan;
         let cfg = cfg4()
             .with_threads(2)
@@ -1703,6 +1688,7 @@ mod tests {
             .with_fault(FaultPlan::off().lose_worker(0, 3));
         let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
         let (tx, rx) = mpsc::channel();
+        let gate = Arc::new((std::sync::Mutex::new(0), 2, std::sync::Condvar::new()));
         let n_jobs = 6u64;
         for seed in 0..n_jobs {
             accept(pool.submit(
@@ -1710,7 +1696,10 @@ mod tests {
                 JobClass::Batch,
                 KernelSet::CaluLu,
                 PoolSource::Uniform { m: 64, n: 64, seed },
-                Box::new(ChanSink(tx.clone())),
+                Box::new(GatedSink {
+                    chan: ChanSink(tx.clone()),
+                    gate: Arc::clone(&gate),
+                }),
             ));
         }
         let outcomes: Vec<PoolOutcome> = (0..n_jobs).map(|_| rx.recv().unwrap().unwrap()).collect();

@@ -57,7 +57,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::Instant;
 
 use calu_dag::{DagVariant, PaperKind, TaskGraph, TaskId, TaskKind};
@@ -115,9 +115,9 @@ pub struct ThreadStats {
 use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
-use crate::fault::{FaultAction, FaultClock, FaultKind, FaultPlan};
+use crate::fault::{FaultAction, FaultClock, FaultKind};
 use crate::pivot::swaps_for_selection;
-use crate::shared::SharedTiles;
+use crate::shared::{load_part, unload, unload_part, SharedDense, SharedTiles, TileLayout};
 use crate::tslu::{Candidate, TreePlan};
 
 type ReadyQueue = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
@@ -295,45 +295,81 @@ impl<S: TileStorage + Send> ItemState<S> {
         self.done.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Consume the state once every task ran: the tiled storage, the
-    /// combined permutation (in panel order) and the singular flag.
-    pub(crate) fn finish(self) -> (S, RowPerm, Option<usize>) {
-        let (perm, singular) = self.finish_by_ref();
-        (self.tiles.into_inner(), perm, singular)
+    /// The combined row permutation, in panel order, once every panel
+    /// finished. Unpivoted kernel sets (Cholesky) build no panel state:
+    /// their permutation is the identity.
+    pub(crate) fn perm(&self) -> RowPerm {
+        let mut perm = RowPerm::identity();
+        for panel in &self.panels {
+            perm.extend(panel.perm.get().expect("all panels finished"));
+        }
+        perm
     }
 
-    /// [`finish`](Self::finish) without consuming the state: the
-    /// permutation and singular flag by value, the storage via
-    /// [`storage_ref`](Self::storage_ref). The service pool needs this
-    /// split because its items live in `Arc`s shared with in-flight
-    /// workers — the finishing worker extracts results by reference and
-    /// the `Arc` drops whenever the last clone does.
-    pub(crate) fn finish_by_ref(&self) -> (RowPerm, Option<usize>) {
-        let mut perm = RowPerm::identity();
-        // unpivoted kernel sets (Cholesky) build no panel state: the
-        // permutation is the identity
-        for k in 0..self.panels.len() {
-            perm.extend(self.panels[k].perm.get().expect("all panels finished"));
-        }
-        let singular = match self.singular.load(Ordering::Acquire) {
+    /// The first column whose pivot was zero (or, for Cholesky, not
+    /// positive), if any.
+    pub(crate) fn singular_at(&self) -> Option<usize> {
+        match self.singular.load(Ordering::Acquire) {
             NOT_SINGULAR => None,
             c => Some(c),
-        };
-        (perm, singular)
+        }
     }
 
-    /// Shared view of the tiled storage.
+    /// Load worker `me`'s share of `a` into the (empty) tiled storage:
+    /// [`load_part`] on this item's tiles.
     ///
     /// # Safety
-    /// Caller must ensure every task has completed (`done == g.len()`),
-    /// so no worker holds a mutable tile pointer.
-    pub(crate) unsafe fn storage_ref(&self) -> &S {
-        self.tiles.inner()
+    /// No task of this item may have started; concurrent callers pass
+    /// distinct `me` with the same `workers`.
+    pub(crate) unsafe fn load_part(&self, a: &DenseMatrix, me: usize, workers: usize) {
+        load_part(&self.tiles, a, me, workers);
+    }
+
+    /// Unload worker `me`'s column blocks of the finished item into
+    /// `out` with the left swaps of `perm` applied: [`unload_part`] on
+    /// this item's tiles.
+    ///
+    /// # Safety
+    /// Concurrent callers pass distinct `me` with the same `workers` and
+    /// the same `out`.
+    pub(crate) unsafe fn unload_part(
+        &self,
+        perm: &RowPerm,
+        out: &SharedDense<'_>,
+        me: usize,
+        workers: usize,
+    ) {
+        unload_part(self.finished_storage(), perm, out, me, workers);
+    }
+
+    /// The finished item's factorization, unloaded on the calling thread
+    /// — the batch and service routes' copy-out.
+    pub(crate) fn factorization(&self) -> Factorization {
+        let perm = self.perm();
+        Factorization {
+            lu: unload(self.finished_storage(), &perm),
+            perm,
+            singular_at: self.singular_at(),
+        }
+    }
+
+    /// Shared view of the tiled storage once every task has completed.
+    fn finished_storage(&self) -> &S {
+        // the Acquire load pairs with every completion's AcqRel bump, so
+        // all task writes are visible, and a retired task holds no tile
+        // pointer: nothing can write the storage any more
+        assert_eq!(
+            self.done.load(Ordering::Acquire),
+            self.g.len(),
+            "the item still has tasks to run"
+        );
+        // SAFETY: see above — every task has completed.
+        unsafe { self.tiles.inner() }
     }
 }
 
 /// Shared fault-injection state of one run — allocated only when the
-/// config carries an armed [`FaultPlan`], so the no-fault hot path
+/// config carries an armed [`crate::FaultPlan`], so the no-fault hot path
 /// branches on one `Option` and touches nothing else.
 pub(crate) struct FaultShared {
     /// Worker `w` no longer executes its static backlog (dead, or
@@ -792,29 +828,29 @@ pub(crate) fn host_topology() -> &'static CpuTopology {
     TOPO.get_or_init(CpuTopology::detect)
 }
 
-/// What the tiled executor hands back: the factored storage, the
-/// combined row permutation, the first singular column (if any), the
+/// What the tiled executor hands back: the factorization, the
 /// execution timeline, and per-thread queue/rescue accounting.
-type Factored<S> = (S, RowPerm, Option<usize>, Timeline, Vec<ThreadStats>);
+type Factored = (Factorization, Timeline, Vec<ThreadStats>);
 
-/// Factor a tiled storage in place with `threads` workers; returns the
-/// combined permutation, the singular flag and the execution trace.
-/// `fault` is the run's injection plan ([`FaultPlan::off`] for every
-/// production caller): an armed plan can make the run fail with a typed
-/// error (injected kernel panic), which is the only `Err` this returns.
-#[allow(clippy::too_many_arguments)]
-fn factor_tiled<S: TileStorage + Send>(
-    storage: S,
+/// Factor `a` in layout `S` with one worker per `grid` cell. The workers
+/// cross the tile↔dense boundary themselves: each loads its own tiles
+/// ([`load_part`]) before a start barrier, and once the DAG drains each
+/// unloads its column blocks with the left swaps applied
+/// ([`unload_part`]), so neither copy spawns a thread of its own. The
+/// timeline's clock starts at the barrier, so it times the DAG alone.
+/// `cfg.fault` is the run's injection plan ([`crate::FaultPlan::off`] for
+/// every production caller): an armed plan can make the run fail with
+/// a typed error (injected kernel panic), which is the only `Err` this
+/// returns.
+fn factor_tiled<S: TileLayout>(
+    a: &DenseMatrix,
     g: &Arc<TaskGraph>,
     grid: ProcessGrid,
-    dratio: f64,
-    queue: QueueDiscipline,
-    steal_dir: StealOrder,
-    pin: bool,
-    fault: &FaultPlan,
-) -> Result<Factored<S>, CaluError> {
+    cfg: &CaluConfig,
+) -> Result<Factored, CaluError> {
+    let (queue, steal_dir, pin, fault) = (cfg.queue, cfg.steal_order, cfg.pin_workers, &cfg.fault);
     let threads = grid.size();
-    let nstatic = nstatic_for(dratio, g.num_panels());
+    let nstatic = nstatic_for(cfg.dratio, g.num_panels());
     let topo = host_topology();
 
     let fault_shared = (!fault.is_off()).then(|| FaultShared::new(threads));
@@ -830,6 +866,7 @@ fn factor_tiled<S: TileStorage + Send>(
         }
     }
 
+    let storage = S::alloc(a.rows(), a.cols(), cfg.b, grid);
     let shared = Shared {
         item: ItemState::new(storage, Arc::clone(g), grid, nstatic),
         local: (0..threads)
@@ -874,14 +911,20 @@ fn factor_tiled<S: TileStorage + Send>(
     }
 
     let total = g.len();
-    let t0 = Instant::now();
+    let started = Barrier::new(threads);
+    let clock_start = OnceLock::new();
+    let perm = OnceLock::new();
+    let mut lu = DenseMatrix::zeros(a.rows(), a.cols());
+    let out = SharedDense::new(&mut lu);
     let mut timeline = Timeline::new(threads);
     let mut thread_stats = vec![ThreadStats::default(); threads];
+    let mut unloaded = vec![false; threads];
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for me in 0..threads {
             let shared = &shared;
+            let (started, clock_start, perm, out) = (&started, &clock_start, &perm, &out);
             handles.push(scope.spawn(move || {
                 // topology-aware pinning: worker `me` onto the CPU the
                 // detected topology maps it to — best effort, a refusal
@@ -889,6 +932,11 @@ fn factor_tiled<S: TileStorage + Send>(
                 if pin {
                     pin_current_thread(topo.cpu_for_worker(me));
                 }
+                // SAFETY: no task runs before the barrier, and every
+                // worker loads a disjoint set of tiles
+                unsafe { shared.item.load_part(a, me, threads) };
+                started.wait();
+                let t0 = *clock_start.get_or_init(Instant::now);
                 let mut spans: Vec<TaskSpan> = Vec::new();
                 let mut stats = ThreadStats::default();
                 // per-worker packing arena, sized once from the config's
@@ -1022,15 +1070,25 @@ fn factor_tiled<S: TileStorage + Send>(
                         }
                     }
                 }
-                (spans, stats)
+                // a drained DAG: copy this worker's column blocks out
+                // (a lost worker left early; its share is unloaded
+                // after the join)
+                let unload = !stats.lost && shared.item.done.load(Ordering::Acquire) == total;
+                if unload {
+                    let perm = perm.get_or_init(|| shared.item.perm());
+                    // SAFETY: every worker unloads a disjoint column set
+                    unsafe { shared.item.unload_part(perm, out, me, threads) };
+                }
+                (spans, stats, unload)
             }));
         }
         for (me, h) in handles.into_iter().enumerate() {
-            let (spans, stats) = h.join().expect("worker panicked");
+            let (spans, stats, unload) = h.join().expect("worker panicked");
             for span in spans {
                 timeline.push(span);
             }
             thread_stats[me] = stats;
+            unloaded[me] = unload;
         }
     });
 
@@ -1046,81 +1104,31 @@ fn factor_tiled<S: TileStorage + Send>(
         }
     }
 
-    let (storage, perm, singular) = shared.item.finish();
-    Ok((storage, perm, singular, timeline, thread_stats))
-}
-
-/// Apply the deferred "left swaps" (Algorithm 1, line 43): each panel's
-/// permutation is applied to the L columns strictly left of it.
-pub(crate) fn apply_left_swaps(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowPerm, b: usize) {
-    // perms is the concatenation of panel perms; walk it panel by panel
-    let piv = perms.pivots();
-    for k in 0..g.num_panels() {
-        let base = k * b;
-        let w = g.tile_col_count(k);
-        let left_cols = base.min(lu.cols());
-        for t in 0..w.min(piv.len().saturating_sub(base)) {
-            let r1 = base + t;
-            let r2 = piv[base + t];
-            if r1 != r2 {
-                lu.swap_rows_in_cols(r1, r2, 0, left_cols);
-            }
-        }
+    let perm = perm.into_inner().unwrap_or_else(|| shared.item.perm());
+    for me in (0..threads).filter(|&w| !unloaded[w]) {
+        // SAFETY: the workers have joined; this thread is the only writer
+        unsafe { shared.item.unload_part(&perm, &out, me, threads) };
     }
+    let factorization = Factorization {
+        lu,
+        perm,
+        singular_at: shared.item.singular_at(),
+    };
+    Ok((factorization, timeline, thread_stats))
 }
 
-/// Run `factor_tiled` on `a` under the config's layout, returning the
-/// factored matrix densified — the layout dispatch shared by every
-/// kernel set's solo entry point.
+/// Run `factor_tiled` on `a` under the config's layout — the layout
+/// dispatch shared by every kernel set's solo entry point.
 fn factor_report_for_graph(
     a: &DenseMatrix,
     cfg: &CaluConfig,
     g: &Arc<TaskGraph>,
     grid: ProcessGrid,
-) -> Result<Factored<DenseMatrix>, CaluError> {
+) -> Result<Factored, CaluError> {
     match cfg.layout {
-        Layout::ColumnMajor => {
-            let s = CmTiles::from_dense(a, cfg.b);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
-        Layout::BlockCyclic => {
-            let s = BclMatrix::from_dense(a, cfg.b, grid);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
-        Layout::TwoLevelBlock => {
-            let s = TlbMatrix::from_dense(a, cfg.b, grid);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
+        Layout::ColumnMajor => factor_tiled::<CmTiles>(a, g, grid, cfg),
+        Layout::BlockCyclic => factor_tiled::<BclMatrix>(a, g, grid, cfg),
+        Layout::TwoLevelBlock => factor_tiled::<TlbMatrix>(a, g, grid, cfg),
     }
 }
 
@@ -1142,17 +1150,7 @@ pub fn calu_factor_report(
         cfg.b,
         leaf_stride,
     ));
-    let (mut lu, perm, singular_at, timeline, stats) = factor_report_for_graph(a, cfg, &g, grid)?;
-    apply_left_swaps(&mut lu, &g, &perm, cfg.b);
-    Ok((
-        Factorization {
-            lu,
-            perm,
-            singular_at,
-        },
-        timeline,
-        stats,
-    ))
+    factor_report_for_graph(a, cfg, &g, grid)
 }
 
 /// Factor the symmetric positive-definite `a` as `A = L·Lᵀ` with the
@@ -1173,17 +1171,8 @@ pub fn cholesky_factor_report(
         return Err(CaluError::EmptyMatrix);
     }
     let g = Arc::new(KernelSet::Cholesky.build_graph(a.rows(), a.cols(), cfg.b, 1)?);
-    let (lu, perm, singular_at, timeline, stats) = factor_report_for_graph(a, cfg, &g, grid)?;
-    // no pivoting: perm is the identity and there are no left swaps
-    Ok((
-        Factorization {
-            lu,
-            perm,
-            singular_at,
-        },
-        timeline,
-        stats,
-    ))
+    // no pivoting: perm is the identity and the unload swaps nothing
+    factor_report_for_graph(a, cfg, &g, grid)
 }
 
 /// [`cholesky_factor_report`] returning only the factorization.
@@ -1209,6 +1198,7 @@ pub fn calu_factor(a: &DenseMatrix, cfg: &CaluConfig) -> Result<Factorization, C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::simple::calu_simple;
     use calu_matrix::gen;
 

@@ -37,6 +37,13 @@ impl TileRef<'_> {
     pub fn to_dense(&self) -> DenseMatrix {
         DenseMatrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
     }
+
+    /// Column `j` of the tile: `rows` contiguous elements.
+    #[inline]
+    pub fn col(&self, j: usize) -> &[f64] {
+        debug_assert!(j < self.cols);
+        &self.data[j * self.ld..j * self.ld + self.rows]
+    }
 }
 
 /// Mutable view of one tile (same addressing as [`TileRef`]).
@@ -65,6 +72,13 @@ impl TileRefMut<'_> {
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld] = v;
+    }
+
+    /// Column `j` of the tile, writable: `rows` contiguous elements.
+    #[inline]
+    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        debug_assert!(j < self.cols);
+        &mut self.data[j * self.ld..j * self.ld + self.rows]
     }
 }
 
@@ -142,7 +156,8 @@ pub trait TileStorage {
         tile.set(ri, rj, v);
     }
 
-    /// Gather the whole matrix into a fresh column-major dense matrix.
+    /// Gather the whole matrix into a fresh column-major dense matrix,
+    /// one contiguous tile column at a time.
     fn to_dense(&self) -> DenseMatrix {
         let t = self.tiling();
         let mut out = DenseMatrix::zeros(t.m, t.n);
@@ -150,15 +165,14 @@ pub trait TileStorage {
             let tile = self.tile(ti, tj);
             let (r0, c0) = (t.row_start(ti), t.col_start(tj));
             for j in 0..tile.cols {
-                for i in 0..tile.rows {
-                    out.set(r0 + i, c0 + j, tile.get(i, j));
-                }
+                out.col_mut(c0 + j)[r0..r0 + tile.rows].copy_from_slice(tile.col(j));
             }
         }
         out
     }
 
-    /// Scatter a dense matrix into this storage (shapes must match).
+    /// Scatter a dense matrix into this storage (shapes must match), one
+    /// contiguous tile column at a time.
     fn load_dense(&mut self, a: &DenseMatrix) {
         let t = self.tiling();
         assert_eq!(
@@ -170,9 +184,9 @@ pub trait TileStorage {
             let (r0, c0) = (t.row_start(ti), t.col_start(tj));
             let mut tile = self.tile_mut(ti, tj);
             for j in 0..tile.cols {
-                for i in 0..tile.rows {
-                    tile.set(i, j, a.get(r0 + i, c0 + j));
-                }
+                let rows = tile.rows;
+                tile.col_mut(j)
+                    .copy_from_slice(&a.col(c0 + j)[r0..r0 + rows]);
             }
         }
     }
